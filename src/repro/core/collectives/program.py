@@ -35,7 +35,7 @@ import abc
 import functools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,6 +205,20 @@ def _merged(a: SimdCounter, b: SimdCounter) -> SimdCounter:
     return out
 
 
+class Streaming(NamedTuple):
+    """How a streamed replay runs its banded ops.
+
+    ``tile_bytes`` sizes the row bands (:func:`band_ranges`), ``pool``
+    backs every band's gather output, and ``workers`` (an engine
+    :class:`~repro.engine.parallel.WorkerPool`, or None) may fan
+    independent bands across host threads.
+    """
+
+    tile_bytes: int
+    pool: ScratchPool
+    workers: Any = None
+
+
 class ProgramOp(abc.ABC):
     """One lowered (or fallback) stage of a compiled program."""
 
@@ -214,28 +228,23 @@ class ProgramOp(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
-        """Replay this stage against ``ctx.system``."""
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
+        """Replay this stage against ``ctx.system``; returns its tiles.
 
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
-        """Replay tile-by-tile through the scratch pool.
-
-        The default falls back to one untiled :meth:`execute` pass
-        (host-flow ops produce inherently full-size host state); tiled
-        overrides must stay bit-identical to ``execute`` and charge
-        ``ctx.tiles`` with the count :meth:`tile_count` predicts.
-        ``workers`` (an engine worker pool, or None) lets banded
-        overrides fan independent bands across host threads -- results
-        and every counter stay identical; only wall-clock changes.
+        Lowered movement ops run one loop over row-band work units:
+        a single band covering every output row when ``stream`` is
+        None (or the op cannot band safely), else the bands of
+        :func:`band_ranges` gathered through ``stream.pool``.  Every
+        band partition replays bit-identically to the interpreted
+        oracle.  Host-flow ops run their one body whatever ``stream``
+        says.  The return value is the number of units run -- the
+        tile count a streamed replay charges, always equal to
+        :meth:`tile_count` at the same budget.
         """
-        self.execute(ctx, payloads)
-        ctx.tiles += 1
 
     def tile_count(self, tile_bytes: int) -> int:
-        """Tiles :meth:`execute_streamed` replays at this budget."""
+        """Tiles :meth:`execute` replays at this streaming budget."""
         return 1
 
     def transfer_bytes(self) -> int:
@@ -258,27 +267,164 @@ class ProgramOp(abc.ABC):
         return f"{type(self).__name__}({inner})"
 
 
+class _BandedOp(ProgramOp):
+    """Shared row-band machinery of the table-driven movement ops.
+
+    Subclasses provide ``_band_rows`` (output rows) and
+    ``_stream_safe``; an output row gathers ``lane.shape[1]`` chunks.
+    """
+
+    @property
+    def _band_bytes(self) -> int:
+        return self.lane.shape[1] * self.chunk_bytes
+
+    def _bands(self, tile_bytes: int) -> list[tuple[int, int]]:
+        """Row bands of a streamed replay (one band when banding is unsafe)."""
+        if not self._stream_safe():
+            return [(0, self._band_rows)]
+        return band_ranges(self._band_rows, self._band_bytes, tile_bytes)
+
+    def tile_count(self, tile_bytes: int) -> int:
+        return len(self._bands(tile_bytes))
+
+    def _banding(self, stream: Streaming | None
+                 ) -> tuple[list[tuple[int, int]], ScratchPool | None, Any]:
+        """(bands, scratch, workers) for one replay.
+
+        A single band gets no scratch and no workers: it gathers with
+        the whole-block kernels into fresh buffers, so untiled replay
+        keeps no session state and its memory profile is that of one
+        gather plus one put.
+        """
+        if stream is None or not self._stream_safe():
+            return [(0, self._band_rows)], None, None
+        return self._bands(stream.tile_bytes), stream.pool, stream.workers
+
+
+class _TableGatherOp(_BandedOp):
+    """A ``(lane, slot)`` table gather over grouped source rows.
+
+    Shared by :class:`GatherMoveOp` and :class:`ReduceFoldOp`: both
+    read ``in_slots`` chunks per source row at ``src_offset`` and
+    gather output row ``r = g * lanes + l`` as ``in[g, lane[l, s],
+    slot[l, s]]`` over ``s < lane.shape[1]``.
+    """
+
+    def __post_init__(self) -> None:
+        # Flatten the table pair once at lowering time; replay then
+        # gathers along a single pre-indexed axis (see arena docs).
+        self.flat = flat_chunk_table(self.lane, self.slot, self.in_slots)
+        self._stream_cache = None
+        self._stream_lock = threading.Lock()
+
+    @property
+    def _band_rows(self) -> int:
+        return self.ids.size
+
+    def _source(self, system: DimmSystem, scratch: ScratchPool | None):
+        """What the unit gathers read.
+
+        None for an unbanded replay (:meth:`_gather` then takes the
+        whole block with :meth:`~repro.hw.system.DimmSystem
+        .take_by_table`); the op's cached arena-global stream table on
+        the vectorized backend; else the source staged once into the
+        scratch pool's ping buffer, viewed as ``(ngroups, lanes *
+        in_slots)`` wide chunks.
+        """
+        if scratch is None:
+            return None
+        table = _stream_table(self, system)
+        if table is not None:
+            return table
+        nbytes = self.in_slots * self.chunk_bytes
+        stage = scratch.ping((self.ids.size, nbytes))
+        system.stage_rows(self.ids, self.src_offset, nbytes, stage)
+        return stage.view(wide_dtype(self.chunk_bytes)).reshape(
+            self.ngroups, -1)
+
+    def _gather(self, system: DimmSystem, scratch: ScratchPool | None,
+                source, rows: slice | np.ndarray) -> np.ndarray:
+        """Gathered output ``rows`` as a uint8 ``(len, row_bytes)`` matrix.
+
+        ``rows`` is a band (a slice) or a sorted selection (an index
+        array, the elision layer's representatives).  The output lives
+        in the scratch pool's pong buffer when banding, else in a fresh
+        array.
+        """
+        if source is None:
+            block = system.take_by_table(
+                self.ids, self.ngroups, self.src_offset, self.in_slots,
+                self.chunk_bytes, self.lane, self.slot, self.flat)
+            return block.reshape(self.ids.size, -1)
+        nout = self.lane.shape[1]
+        band = isinstance(rows, slice)
+        n = rows.stop - rows.start if band else rows.size
+        if isinstance(source, tuple):
+            table, width = source
+            shape, dtype = (n, table.shape[1]), wide_dtype(width)
+        else:
+            shape, dtype = (n, nout), wide_dtype(self.chunk_bytes)
+        out = (scratch.pong(shape, dtype) if scratch is not None
+               else np.empty(shape, dtype))
+        if isinstance(source, tuple):
+            if band:
+                system.take_band_flat(table, width, rows.start, rows.stop,
+                                      out)
+            elif n:
+                system.take_select_flat(table, width, rows, out)
+        elif band:
+            take_band_staged(source, self.flat, rows.start, rows.stop, out)
+        else:
+            lanes = self.ids.size // self.ngroups
+            edges = np.searchsorted(
+                rows, np.arange(1, self.ngroups + 1) * lanes)
+            start = 0
+            for g, end in enumerate(edges):
+                if end > start:
+                    np.take(source[g], self.flat[rows[start:end] - g * lanes],
+                            out=out[start:end])
+                start = end
+        return out.view(np.uint8).reshape(n, nout * self.chunk_bytes)
+
+
 @dataclass
 class _ElisionPlan:
-    """One op's fingerprint-scan result, shared by both replay modes.
+    """One op's fingerprint-scan result, reused across replays.
 
     ``zero_row[r]`` -- output row ``r`` gathers only all-zero chunks;
     ``rep_row[r]`` -- lowest row in ``r``'s group whose gathered
     content is byte-identical (``rep_row[r] == r`` for uniques; zero
     rows all share one signature and are handled by the zero mask
-    first).  ``table`` is the cached vectorized stream table (None on
-    scalar, where ``block`` keeps the staged source copy the scan
-    already paid for).
+    first).  ``source`` is what representative gathers read: the
+    cached vectorized stream table, or on scalar the staged source the
+    scan already paid for, as grouped wide chunks.  ``units`` caches
+    the per-band work units derived from the masks, keyed by band
+    height.
     """
 
-    table: tuple[np.ndarray, int] | None
-    block: np.ndarray | None
+    source: Any
     zero_row: np.ndarray
     rep_row: np.ndarray
+    units: dict = field(default_factory=dict)
+
+
+class _Unit(NamedTuple):
+    """One band of a :class:`GatherMoveOp` replay.
+
+    Gathers ``rows`` and writes them to PEs ``ids``; with elision, also
+    writes each duplicate PE in ``dup_ids`` from gathered row ``pos``
+    and zero-fills the PEs in ``zero_ids``.
+    """
+
+    rows: slice | np.ndarray
+    ids: np.ndarray
+    dup_ids: np.ndarray | None = None
+    pos: np.ndarray | None = None
+    zero_ids: np.ndarray | None = None
 
 
 @dataclass
-class GatherMoveOp(ProgramOp):
+class GatherMoveOp(_TableGatherOp):
     """Pure data movement as one take-by-table gather + one put.
 
     Covers PeReorder, RotateExchange and Fanout steps, and any legal
@@ -290,13 +436,13 @@ class GatherMoveOp(ProgramOp):
     When the replay context carries ``elide=True`` (content-aware
     transfer elision, ``docs/performance.md``), the op first
     fingerprint-scans its source block
-    (:func:`~repro.hw.arena.scan_chunk_classes`) and gathers only one
-    representative per distinct output-row content class: all-zero rows
-    become a single broadcast fill, duplicate rows an aliased host-side
-    copy of their representative.  Every elision is byte-verified
-    before aliasing, so results stay bit-identical to the interpreted
-    oracle at any elision rate; ops whose source and destination
-    regions overlap (``_stream_safe`` false) never elide.
+    (:func:`~repro.hw.arena.scan_chunk_classes`) and each band gathers
+    only one representative per distinct output-row content class:
+    all-zero rows become a single broadcast fill, duplicate rows an
+    aliased host-side copy of their representative.  Every elision is
+    byte-verified before aliasing, so results stay bit-identical to the
+    interpreted oracle at any elision rate; ops whose source and
+    destination regions overlap (``_stream_safe`` false) never elide.
     """
 
     ids: np.ndarray
@@ -313,28 +459,48 @@ class GatherMoveOp(ProgramOp):
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # Flatten the table pair once at lowering time; replay then
-        # gathers along a single pre-indexed axis (see arena docs).
-        self.flat = flat_chunk_table(self.lane, self.slot, self.nslots_in)
-        self._stream_cache = None
-        self._stream_lock = threading.Lock()
+        super().__post_init__()
         self._rows_unique = None
         self._plan_cache = None
 
+    @property
+    def in_slots(self) -> int:
+        return self.nslots_in
+
     def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
+        bands, scratch, workers = self._banding(stream)
+        system = ctx.system
+        plan, dst_clean = None, False
         if ctx.elide and self._elidable():
             plan, dst_clean = self._elision_plan(ctx)
-            if plan is not None:
-                self._execute_elided(ctx, plan, dst_clean)
-                return
-        block = ctx.system.take_by_table(
-            self.ids, self.ngroups, self.src_offset, self.nslots_in,
-            self.chunk_bytes, self.lane, self.slot, self.flat)
-        ctx.system.put_rows(
-            self.ids, self.dst_offset,
-            block.reshape(self.ids.size, self.nslots_out * self.chunk_bytes))
+        if plan is None:
+            source = self._source(system, scratch)
+            units = [_Unit(slice(r0, r1), self.ids[r0:r1])
+                     for r0, r1 in bands]
+        else:
+            source = plan.source
+            units, n_zero, n_dup = self._elided_units(plan, bands)
+        row_bytes = self._band_bytes
+
+        def run(scratch: ScratchPool | None, unit: _Unit) -> None:
+            gathered = self._gather(system, scratch, source, unit.rows)
+            if unit.ids.size:
+                system.put_rows(unit.ids, self.dst_offset, gathered)
+            if unit.dup_ids is not None:
+                system.put_rows(unit.dup_ids, self.dst_offset,
+                                gathered[unit.pos])
+            if unit.zero_ids is not None and not dst_clean:
+                system.zero_fill_lanes(unit.zero_ids, self.dst_offset,
+                                       row_bytes)
+
+        _run_bands(units, scratch, workers, run)
+        if plan is not None:
+            self._count_elided(ctx, n_zero, n_dup)
+            self._mark_dst_clean(ctx)
         self._charge(ctx)
+        return len(units)
 
     def transfer_bytes(self) -> int:
         return self.ids.size * (self.nslots_in + self.nslots_out) \
@@ -380,13 +546,14 @@ class GatherMoveOp(ProgramOp):
         interval; the arena's write log
         (:meth:`~repro.hw.system.DimmSystem.content_changed`) proves
         absence of such writes, and steady-state replay of an
-        unchanged payload then reuses the cached plan without
-        re-reading a single source byte.  The flag additionally
-        reports that the *destination* interval saw no write since
-        this op's own last eliding replay -- its zero rows still read
-        zero, so even the verify-first zero fill can be skipped.  A
-        failed validation, a changed arena, or the scalar backend
-        (which keeps no write log) falls back to a fresh scan.
+        unchanged payload then reuses the cached plan -- and its
+        derived band units -- without re-reading a single source byte.
+        The flag additionally reports that the *destination* interval
+        saw no write since this op's own last eliding replay -- its
+        zero rows still read zero, so even the verify-first zero fill
+        can be skipped.  A failed validation, a changed arena, or the
+        scalar backend (which keeps no write log) falls back to a
+        fresh scan.
 
         Cache hits charge ``chunks_scanned`` (the plan's content
         coverage, which elision-rate accounting and per-tenant
@@ -484,30 +651,54 @@ class GatherMoveOp(ProgramOp):
             rep_row = _row_reps(sig)
             if not zero_row.any() and (rep_row == arange).all():
                 return None  # fully dense rows: scan paid, no savings
-        return _ElisionPlan(
-            table=table, block=None if table is not None else block,
-            zero_row=zero_row, rep_row=rep_row)
+        if table is None:
+            table = block.view(wide_dtype(self.chunk_bytes)).reshape(
+                self.ngroups, -1)
+        return _ElisionPlan(source=table, zero_row=zero_row,
+                            rep_row=rep_row)
 
-    def _gather_select(self, system: DimmSystem, plan: _ElisionPlan,
-                       rows: np.ndarray, out: np.ndarray) -> None:
-        """Gather only ``rows`` (representatives) into wide ``out``."""
-        if plan.table is not None:
-            flat_table, width = plan.table
-            if rows.size:
-                system.take_select_flat(flat_table, width, rows, out)
-            return
-        lanes = self.ids.size // self.ngroups
-        grouped = plan.block.view(wide_dtype(self.chunk_bytes)).reshape(
-            self.ngroups, -1)
-        edges = np.searchsorted(
-            rows, np.arange(1, self.ngroups + 1) * lanes)
-        start = 0
-        for g, end in enumerate(edges):
-            if end > start:
-                np.take(grouped[g],
-                        self.flat[rows[start:end] - g * lanes],
-                        out=out[start:end])
-            start = end
+    def _elided_units(self, plan: _ElisionPlan,
+                      bands: list[tuple[int, int]]
+                      ) -> tuple[list[_Unit], int, int]:
+        """Per-band units of an elided replay, derived once per plan.
+
+        A band gathers its representatives, aliases its duplicates and
+        zero-fills its all-zero rows.  Dedup stays band-local: a
+        duplicate's representative is the first matching row *within
+        its own band*, so a band never reads another band's gather
+        output and band workers never share state.  For one band
+        covering every row this is the plan's global representative.
+        Returns ``(units, zero rows, duplicate rows)``.
+        """
+        key = bands[0][1] - bands[0][0] if bands else 0
+        cached = plan.units.get(key)
+        if cached is not None:
+            return cached
+        units = []
+        n_zero = n_dup = 0
+        for r0, r1 in bands:
+            zmask = plan.zero_row[r0:r1]
+            live = np.flatnonzero(~zmask) + r0
+            rep = plan.rep_row[live]
+            if rep.size and rep.min() < r0:
+                # Some classes' global representative lies in an
+                # earlier band: re-elect the first member in this one.
+                _, first, inv = np.unique(rep, return_index=True,
+                                          return_inverse=True)
+                rep = live[first[inv.reshape(-1)]]
+            repmask = rep == live
+            reps = live[repmask]
+            dups = live[~repmask]
+            zrows = np.flatnonzero(zmask) + r0
+            units.append(_Unit(
+                reps, self.ids[reps],
+                self.ids[dups] if dups.size else None,
+                np.searchsorted(reps, rep[~repmask]) if dups.size else None,
+                self.ids[zrows] if zrows.size else None))
+            n_zero += zrows.size
+            n_dup += dups.size
+        cached = plan.units[key] = (units, n_zero, n_dup)
+        return cached
 
     def _count_elided(self, ctx: ExecContext, n_zero: int,
                       n_dup: int) -> None:
@@ -519,177 +710,30 @@ class GatherMoveOp(ProgramOp):
         # destination write but skip the gather direction.
         ctx.saved_transfer_bytes += (2 * n_zero + n_dup) * row_bytes
 
-    def _execute_elided(self, ctx: ExecContext, plan: _ElisionPlan,
-                        dst_clean: bool = False) -> None:
-        system = ctx.system
-        n = self.ids.size
-        row_bytes = self.nslots_out * self.chunk_bytes
-        arange = np.arange(n)
-        live = ~plan.zero_row
-        reps = np.flatnonzero(live & (plan.rep_row == arange))
-        dups = np.flatnonzero(live & (plan.rep_row != arange))
-        if plan.table is not None:
-            flat_table, width = plan.table
-            out = np.empty((reps.size, flat_table.shape[1]),
-                           dtype=wide_dtype(width))
-        else:
-            out = np.empty((reps.size, self.nslots_out),
-                           dtype=wide_dtype(self.chunk_bytes))
-        self._gather_select(system, plan, reps, out)
-        rep_bytes = out.view(np.uint8).reshape(reps.size, row_bytes)
-        if reps.size:
-            system.put_rows(self.ids[reps], self.dst_offset, rep_bytes)
-        if dups.size:
-            pos = np.searchsorted(reps, plan.rep_row[dups])
-            system.put_rows(self.ids[dups], self.dst_offset,
-                            rep_bytes[pos])
-        n_zero = n - reps.size - dups.size
-        if n_zero and not dst_clean:
-            system.zero_fill_lanes(self.ids[plan.zero_row],
-                                   self.dst_offset, row_bytes)
-        self._count_elided(ctx, n_zero, dups.size)
-        self._mark_dst_clean(ctx)
-        self._charge(ctx)
-
     def _stream_safe(self) -> bool:
         """Whether row-band tiling cannot read bytes a band wrote.
 
         Each band writes its rows' full destination region before
         later bands read their (arbitrarily cross-lane) sources, so
-        streaming is exact only when the source and destination
-        regions are disjoint; in-place rewrites fall back to the
-        untiled pass.
+        banding is exact only when the source and destination regions
+        are disjoint; in-place rewrites replay as one band.
         """
         src_end = self.src_offset + self.nslots_in * self.chunk_bytes
         dst_end = self.dst_offset + self.nslots_out * self.chunk_bytes
         return src_end <= self.dst_offset or dst_end <= self.src_offset
 
-    def _bands(self, tile_bytes: int) -> list[tuple[int, int]] | None:
-        if not self._stream_safe():
-            return None
-        return band_ranges(self.ids.size,
-                           self.nslots_out * self.chunk_bytes, tile_bytes)
-
-    def tile_count(self, tile_bytes: int) -> int:
-        bands = self._bands(tile_bytes)
-        return len(bands) if bands is not None else 1
-
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
-        bands = self._bands(tile_bytes)
-        if bands is None:
-            super().execute_streamed(ctx, payloads, pool, tile_bytes,
-                                     workers)
-            return
-        if ctx.elide and self._elidable():
-            plan, dst_clean = self._elision_plan(ctx)
-            if plan is not None:
-                self._stream_elided(ctx, plan, bands, pool, workers,
-                                    dst_clean)
-                return
-        row_bytes = self.nslots_out * self.chunk_bytes
-        system = ctx.system
-        table = _stream_table(self, system)
-        grouped = None
-        if table is None:  # scalar backend: stage once, band-take after
-            stage = pool.ping((self.ids.size,
-                               self.nslots_in * self.chunk_bytes))
-            system.stage_rows(self.ids, self.src_offset,
-                              self.nslots_in * self.chunk_bytes, stage)
-            grouped = stage.view(wide_dtype(self.chunk_bytes)).reshape(
-                self.ngroups, -1)
-
-        def run_band(scratch: ScratchPool, band: tuple[int, int]) -> None:
-            r0, r1 = band
-            if table is not None:
-                flat_table, width = table
-                out = scratch.pong((r1 - r0, flat_table.shape[1]),
-                                   wide_dtype(width))
-                system.take_band_flat(flat_table, width, r0, r1, out)
-            else:
-                out = scratch.pong((r1 - r0, self.nslots_out),
-                                   wide_dtype(self.chunk_bytes))
-                take_band_staged(grouped, self.flat, r0, r1, out)
-            system.put_rows(
-                self.ids[r0:r1], self.dst_offset,
-                out.view(np.uint8).reshape(r1 - r0, row_bytes))
-
-        _run_bands(bands, pool, workers, run_band)
-        ctx.tiles += len(bands)
-        self._charge(ctx)
-
-    def _stream_elided(self, ctx: ExecContext, plan: _ElisionPlan,
-                       bands: list[tuple[int, int]], pool: ScratchPool,
-                       workers, dst_clean: bool = False) -> None:
-        """Banded elided replay: dedup stays band-local.
-
-        Every band's work unit (fill rows, representative rows,
-        duplicate rows plus their representative positions) is derived
-        serially here before any band runs, so the partition -- and
-        every counter -- is deterministic at any worker count, and
-        band workers never touch shared context state.  A duplicate's
-        representative is the first matching row *within its own
-        band*, so a band never reads another band's gather output.
-        """
-        system = ctx.system
-        row_bytes = self.nslots_out * self.chunk_bytes
-        units = []
-        n_zero = n_dup = 0
-        for r0, r1 in bands:
-            zmask = plan.zero_row[r0:r1]
-            live = np.flatnonzero(~zmask) + r0
-            _, first, inv = np.unique(plan.rep_row[live],
-                                      return_index=True,
-                                      return_inverse=True)
-            rep_local = live[first[inv.reshape(-1)]]
-            repmask = rep_local == live
-            reps = live[repmask]
-            dups = live[~repmask]
-            pos = np.searchsorted(reps, rep_local[~repmask])
-            zrows = np.flatnonzero(zmask) + r0
-            units.append((reps, dups, pos, zrows))
-            n_zero += zrows.size
-            n_dup += dups.size
-
-        def run_band(scratch: ScratchPool, unit) -> None:
-            reps, dups, pos, zrows = unit
-            if plan.table is not None:
-                flat_table, width = plan.table
-                out = scratch.pong((reps.size, flat_table.shape[1]),
-                                   wide_dtype(width))
-            else:
-                out = scratch.pong((reps.size, self.nslots_out),
-                                   wide_dtype(self.chunk_bytes))
-            self._gather_select(system, plan, reps, out)
-            rep_bytes = out.view(np.uint8).reshape(reps.size, row_bytes)
-            if reps.size:
-                system.put_rows(self.ids[reps], self.dst_offset,
-                                rep_bytes)
-            if dups.size:
-                system.put_rows(self.ids[dups], self.dst_offset,
-                                rep_bytes[pos])
-            if zrows.size and not dst_clean:
-                system.zero_fill_lanes(self.ids[zrows], self.dst_offset,
-                                       row_bytes)
-
-        _run_bands(units, pool, workers, run_band)
-        self._count_elided(ctx, n_zero, n_dup)
-        self._mark_dst_clean(ctx)
-        ctx.tiles += len(bands)
-        self._charge(ctx)
-
 
 @dataclass
-class ReduceFoldOp(ProgramOp):
+class ReduceFoldOp(_TableGatherOp):
     """ReduceExchange lowered: one rotation gather + slot fold.
 
     Integer dtypes fold with one ``ufunc.reduce`` call (modular
     fixed-width arithmetic is order-independent, so any fold order is
     bit-exact); floats keep the explicit left fold whose order matches
     the interpreted backends, so floating-point results stay
-    bit-identical to the scalar oracle.
+    bit-identical to the scalar oracle.  Folds stay band-local (no
+    cross-band arithmetic), so every band partition and worker count
+    gives the same bits.
     """
 
     ids: np.ndarray
@@ -708,26 +752,48 @@ class ReduceFoldOp(ProgramOp):
     wram_tiles: int = 0
     labels: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        self.flat = flat_chunk_table(self.lane, self.slot, self.nslots)
-        self._stream_cache = None
-        self._stream_lock = threading.Lock()
+    @property
+    def in_slots(self) -> int:
+        return self.nslots
 
     def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
-        block = ctx.system.take_by_table(
-            self.ids, self.ngroups, self.src_offset, self.nslots,
-            self.chunk_bytes, self.lane, self.slot, self.flat)
-        values = block.view(self.dtype.np_dtype)
-        acc = fold_slots(values, self.op)
-        if self.dst_offset is not None:
-            raw = np.ascontiguousarray(acc).view(np.uint8)
-            ctx.system.put_rows(self.ids, self.dst_offset,
-                                raw.reshape(self.ids.size, self.chunk_bytes))
-        if self.scratch_key is not None:
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
+        bands, scratch, workers = self._banding(stream)
+        system = ctx.system
+        source = self._source(system, scratch)
+        np_dtype = self.dtype.np_dtype
+        elems = self.chunk_bytes // self.dtype.itemsize
+        # Host scratch escapes the replay (it backs reduce host
+        # outputs), so it is genuinely new state per call -- the one
+        # allocation banding keeps, O(payload / nslots).  One band
+        # folds straight into it.
+        full = (np.empty((self.ids.size, elems), dtype=np_dtype)
+                if self.scratch_key is not None else None)
+
+        def run(scratch: ScratchPool | None, band: tuple[int, int]) -> None:
+            r0, r1 = band
+            values = self._gather(system, scratch, source, slice(r0, r1))
+            values = values.reshape(r1 - r0, self.nslots,
+                                    self.chunk_bytes).view(np_dtype)
+            if scratch is not None:
+                out = scratch.fold((r1 - r0, elems), np_dtype)
+            else:
+                out = full[r0:r1] if full is not None else None
+            acc = fold_slots(values, self.op, out=out)
+            if self.dst_offset is not None:
+                system.put_rows(self.ids[r0:r1], self.dst_offset,
+                                acc.view(np.uint8))
+            if scratch is not None and full is not None:
+                full[r0:r1] = acc
+
+        _run_bands(bands, scratch, workers, run)
+        if full is not None:
+            shaped = full.reshape(self.ngroups, -1, elems)
             ctx.scratch[self.scratch_key] = {
-                inst: acc[g] for g, inst in enumerate(self.instances)}
+                inst: shaped[g] for g, inst in enumerate(self.instances)}
         self._charge(ctx)
+        return len(bands)
 
     def transfer_bytes(self) -> int:
         down = self.ids.size * self.chunk_bytes \
@@ -739,8 +805,8 @@ class ReduceFoldOp(ProgramOp):
 
         A band's destination chunks must not alias any source slot a
         later band still reads (the rotation gather crosses lanes), so
-        streaming is exact only when the destination chunk lies
-        entirely outside the source block -- or when there is no MRAM
+        banding is exact only when the destination chunk lies entirely
+        outside the source block -- or when there is no MRAM
         destination at all (host-scratch-only reduces).
         """
         if self.dst_offset is None:
@@ -749,88 +815,17 @@ class ReduceFoldOp(ProgramOp):
         dst_end = self.dst_offset + self.chunk_bytes
         return src_end <= self.dst_offset or dst_end <= self.src_offset
 
-    def _bands(self, tile_bytes: int) -> list[tuple[int, int]] | None:
-        if not self._stream_safe():
-            return None
-        return band_ranges(self.ids.size, self.nslots * self.chunk_bytes,
-                           tile_bytes)
-
-    def tile_count(self, tile_bytes: int) -> int:
-        bands = self._bands(tile_bytes)
-        return len(bands) if bands is not None else 1
-
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
-        bands = self._bands(tile_bytes)
-        if bands is None:
-            super().execute_streamed(ctx, payloads, pool, tile_bytes,
-                                     workers)
-            return
-        item = self.dtype.itemsize
-        np_dtype = self.dtype.np_dtype
-        lanes = self.lane.shape[0]
-        elems = self.chunk_bytes // item
-        # Host scratch escapes the replay (it backs reduce host
-        # outputs), so it is genuinely new state per call -- the one
-        # allocation streaming keeps, O(payload / nslots).
-        full = (np.empty((self.ids.size, elems), dtype=np_dtype)
-                if self.scratch_key is not None else None)
-        system = ctx.system
-        table = _stream_table(self, system)
-        grouped = None
-        if table is None:  # scalar backend: stage once, band-take after
-            stage = pool.ping((self.ids.size,
-                               self.nslots * self.chunk_bytes))
-            system.stage_rows(self.ids, self.src_offset,
-                              self.nslots * self.chunk_bytes, stage)
-            grouped = stage.view(wide_dtype(self.chunk_bytes)).reshape(
-                self.ngroups, -1)
-
-        def run_band(scratch: ScratchPool, rows: tuple[int, int]) -> None:
-            r0, r1 = rows
-            band = r1 - r0
-            if table is not None:
-                flat_table, width = table
-                gathered = scratch.pong((band, flat_table.shape[1]),
-                                        wide_dtype(width))
-                system.take_band_flat(flat_table, width, r0, r1,
-                                      gathered)
-            else:
-                gathered = scratch.pong((band, self.nslots),
-                                        wide_dtype(self.chunk_bytes))
-                take_band_staged(grouped, self.flat, r0, r1, gathered)
-            values = gathered.view(np.uint8).reshape(
-                band, self.nslots, self.chunk_bytes).view(np_dtype)
-            # Folds stay band-local (no cross-band arithmetic), so the
-            # fold order -- and every float bit -- is identical at any
-            # worker count.
-            acc = fold_slots(values, self.op,
-                             out=scratch.fold((band, elems), np_dtype))
-            if self.dst_offset is not None:
-                system.put_rows(self.ids[r0:r1], self.dst_offset,
-                                acc.view(np.uint8))
-            if full is not None:
-                full[r0:r1] = acc
-
-        _run_bands(bands, pool, workers, run_band)
-        if full is not None:
-            shaped = full.reshape(self.ngroups, lanes, elems)
-            ctx.scratch[self.scratch_key] = {
-                inst: shaped[g] for g, inst in enumerate(self.instances)}
-        ctx.tiles += len(bands)
-        self._charge(ctx)
-
 
 @dataclass
-class FanoutScratchOp(ProgramOp):
+class FanoutScratchOp(_BandedOp):
     """FanoutFromHost lowered: fan host-resident reduced rows back out.
 
     ``lane`` indexes rows of each instance's ``(lanes, chunk)`` scratch
     matrix; a trailing reflect PeReorder fuses into the same table
     (see :func:`_fuse`), which for AllReduce collapses the whole tail
-    to ``out[l, p] = acc[p]``.
+    to ``out[l, p] = acc[p]``.  Its units are (instance, band) pairs:
+    instances write different groups' rows and bands disjoint rows of
+    one group, so every unit is independent.
     """
 
     group_ids: tuple[np.ndarray, ...]
@@ -845,54 +840,31 @@ class FanoutScratchOp(ProgramOp):
     wram_tiles: int = 0
     labels: tuple[str, ...] = ()
 
-    def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
-        results = ctx.scratch.get(self.scratch_key)
-        if results is None:
-            raise CollectiveError(
-                f"no host scratch {self.scratch_key!r}; run the reduce "
-                "exchange first")
-        lanes = self.lane.shape[0]
-        for ids, inst in zip(self.group_ids, self.instances):
-            row = np.ascontiguousarray(results[inst]).view(np.uint8)
-            if row.shape != (lanes, self.chunk_bytes):
-                raise TransferError(
-                    f"scratch row {row.shape} does not match group "
-                    f"({lanes}, {self.chunk_bytes})")
-            fanned = row[self.lane]
-            ctx.system.put_rows(
-                ids, self.dst_offset,
-                fanned.reshape(ids.size, self.nslots_out * self.chunk_bytes))
-        self._charge(ctx)
+    @property
+    def _band_rows(self) -> int:
+        return self.lane.shape[0]
 
-    def transfer_bytes(self) -> int:
-        return self.ids.size * self.nslots_out * self.chunk_bytes
-
-    def _bands(self, tile_bytes: int) -> list[tuple[int, int]]:
+    def _stream_safe(self) -> bool:
         # Source rows live in host scratch, destination in MRAM --
         # banding is always safe here.
-        return band_ranges(self.lane.shape[0],
-                           self.nslots_out * self.chunk_bytes, tile_bytes)
+        return True
 
     def tile_count(self, tile_bytes: int) -> int:
         return len(self._bands(tile_bytes)) * len(self.group_ids)
 
-    def execute_streamed(self, ctx: ExecContext,
-                         payloads: Mapping[int, np.ndarray] | None,
-                         pool: ScratchPool, tile_bytes: int,
-                         workers=None) -> None:
+    def execute(self, ctx: ExecContext,
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
         results = ctx.scratch.get(self.scratch_key)
         if results is None:
             raise CollectiveError(
                 f"no host scratch {self.scratch_key!r}; run the reduce "
                 "exchange first")
-        bands = self._bands(tile_bytes)
+        bands, scratch, workers = self._banding(stream)
         lanes = self.lane.shape[0]
-        row_bytes = self.nslots_out * self.chunk_bytes
+        row_bytes = self._band_bytes
+        wide = wide_dtype(self.chunk_bytes)
         system = ctx.system
-        # (instance, band) units are all independent: instances write
-        # different groups' rows, bands write disjoint rows of one
-        # group, so the whole cross product fans out to the workers.
         units = []
         for ids, inst in zip(self.group_ids, self.instances):
             row = np.ascontiguousarray(results[inst]).view(np.uint8)
@@ -902,21 +874,24 @@ class FanoutScratchOp(ProgramOp):
                     f"({lanes}, {self.chunk_bytes})")
             # The scratch matrix is contiguous, so each chunk is one
             # wide element regardless of alignment.
-            chunks = row.view(wide_dtype(self.chunk_bytes)).reshape(-1)
+            chunks = row.view(wide).reshape(-1)
             units.extend((ids, chunks, r0, r1) for r0, r1 in bands)
 
-        def run_unit(scratch: ScratchPool, unit) -> None:
+        def run(scratch: ScratchPool | None, unit) -> None:
             ids, chunks, r0, r1 = unit
-            fanned = scratch.pong((r1 - r0, self.nslots_out),
-                                  wide_dtype(self.chunk_bytes))
-            np.take(chunks, self.lane[r0:r1], out=fanned)
+            fanned = (scratch.pong((r1 - r0, self.nslots_out), wide)
+                      if scratch is not None else None)
+            fanned = np.take(chunks, self.lane[r0:r1], out=fanned)
             system.put_rows(
                 ids[r0:r1], self.dst_offset,
                 fanned.view(np.uint8).reshape(r1 - r0, row_bytes))
 
-        _run_bands(units, pool, workers, run_unit)
-        ctx.tiles += len(bands) * len(self.group_ids)
+        _run_bands(units, scratch, workers, run)
         self._charge(ctx)
+        return len(units)
+
+    def transfer_bytes(self) -> int:
+        return self.ids.size * self.nslots_out * self.chunk_bytes
 
 
 @dataclass
@@ -933,7 +908,8 @@ class HostPullOp(ProgramOp):
     labels: tuple[str, ...] = ()
 
     def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
         results = {}
         for ids, inst in zip(self.group_ids, self.instances):
             block = ctx.system.take_rows(ids, self.src_offset,
@@ -941,6 +917,7 @@ class HostPullOp(ProgramOp):
             results[inst] = block.reshape(-1)
         ctx.scratch[self.scratch_key] = results
         self._charge(ctx)
+        return 1
 
     def transfer_bytes(self) -> int:
         return sum(ids.size for ids in self.group_ids) * self.chunk_bytes
@@ -960,7 +937,8 @@ class HostPushOp(ProgramOp):
     labels: tuple[str, ...] = ()
 
     def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
         source = payloads
         if source is None and self.source_key is not None:
             source = ctx.scratch.get(self.source_key)
@@ -977,6 +955,7 @@ class HostPushOp(ProgramOp):
             ctx.system.put_rows(ids, self.dst_offset,
                                 buf.reshape(ids.size, self.chunk_bytes))
         self._charge(ctx)
+        return 1
 
     def transfer_bytes(self) -> int:
         return sum(ids.size for ids in self.group_ids) * self.chunk_bytes
@@ -996,7 +975,8 @@ class BroadcastFillOp(ProgramOp):
     labels: tuple[str, ...] = ()
 
     def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
         source = payloads
         if source is None and self.source_key is not None:
             source = ctx.scratch.get(self.source_key)
@@ -1011,6 +991,7 @@ class BroadcastFillOp(ProgramOp):
                     f"{self.nbytes}B")
             ctx.system.fill_lanes(ids, self.dst_offset, buf)
         self._charge(ctx)
+        return 1
 
     def transfer_bytes(self) -> int:
         return sum(ids.size for ids in self.group_ids) * self.nbytes
@@ -1026,8 +1007,10 @@ class StepOp(ProgramOp):
     labels: tuple[str, ...] = ()
 
     def execute(self, ctx: ExecContext,
-                payloads: Mapping[int, np.ndarray] | None) -> None:
+                payloads: Mapping[int, np.ndarray] | None,
+                stream: Streaming | None = None) -> int:
         self.step.apply(ctx)
+        return 1
 
     def describe(self) -> str:
         """Label of the wrapped (uncompiled) step."""
@@ -1205,55 +1188,56 @@ class CommProgram:
                pool: ScratchPool | None = None,
                workers=None,
                elide: bool = False) -> tuple[CostLedger, ExecContext]:
-        """Execute the compiled ops; returns (ledger, context).
+        """Execute the compiled ops in order; returns (ledger, context).
 
         Bit-identical to interpreting the source plan: same memory
         state, scratch outputs, SIMD counts and WRAM tiles -- at a
-        fraction of the dispatch work.
+        fraction of the dispatch work.  Each movement op runs one loop
+        over row-band work units (:meth:`ProgramOp.execute`).
 
-        Pass ``tile_bytes`` to stream: every op replays tile-by-tile
-        through ``pool`` (a fresh :class:`ScratchPool` when None),
-        bounding peak working memory to O(tile) instead of O(payload)
-        and pricing the two-stage tile pipeline via
-        :meth:`CostLedger.pipelined` -- the memory state and host
-        outputs stay bit-identical to the untiled replay and the
-        interpreted oracle; only the modelled overlap credit differs.
-
-        Pass ``workers`` (an engine worker pool) to fan each op's
-        independent row bands across host threads; ops still replay in
-        order, the tile count, pipeline depth, ledger and every result
-        byte are unchanged -- parallelism is wall-clock only.
+        Without ``tile_bytes`` every op runs as a single band with
+        fresh buffers.  Pass ``tile_bytes`` to stream: ops split into
+        bands gathered through ``pool`` (a fresh :class:`ScratchPool`
+        when None), bounding peak working memory to O(tile) instead of
+        O(payload); the replay then counts tiles and prices the
+        two-stage tile pipeline via :meth:`CostLedger.pipelined`.
+        ``workers`` (an engine worker pool) fans a streamed op's
+        independent bands across host threads -- every result byte,
+        tile count and ledger entry is unchanged, only wall-clock moves.
 
         Pass ``elide=True`` for content-aware transfer elision:
-        movement ops fingerprint-scan their sources and skip the
-        gather/put for all-zero and duplicate output rows,
-        substituting a broadcast fill or an aliased copy of the
-        byte-verified representative.  Results stay bit-identical at
-        any elision rate; the returned ledger charges the scan to the
-        ``elide`` category and scales the transfer-bound categories by
-        the fraction of modelled bytes actually saved.
+        movement ops fingerprint-scan their sources and each band
+        gathers only its representative rows, zero-filling all-zero
+        rows and copying duplicates from their byte-verified
+        representative.  Results stay bit-identical at any elision
+        rate; the returned ledger charges the scan to the ``elide``
+        category and scales the transfer-bound categories by the
+        fraction of modelled bytes actually saved.
         """
         ledger = self.priced(system)
         ctx = ExecContext(system=system, elide=elide)
-        if tile_bytes is None:
-            for op in self.ops:
-                op.execute(ctx, payloads)
-            return self._elision_priced(ledger, ctx, system), ctx
-        if tile_bytes <= 0:
-            raise CollectiveError(
-                f"tile_bytes must be positive, got {tile_bytes}")
-        if pool is None:
-            pool = ScratchPool()
+        stream = None
+        if tile_bytes is not None:
+            if tile_bytes <= 0:
+                raise CollectiveError(
+                    f"tile_bytes must be positive, got {tile_bytes}")
+            if pool is None:
+                pool = ScratchPool()
+            stream = Streaming(tile_bytes, pool, workers)
         depth = 1
         for op in self.ops:
-            pool.release()
-            before = ctx.tiles
-            op.execute_streamed(ctx, payloads, pool, tile_bytes, workers)
-            depth = max(depth, ctx.tiles - before)
-        ctx.peak_scratch_bytes = pool.peak_bytes
+            if stream is not None:
+                stream.pool.release()
+            tiles = op.execute(ctx, payloads, stream)
+            if stream is not None:
+                ctx.tiles += tiles
+                depth = max(depth, tiles)
+        ledger = self._elision_priced(ledger, ctx, system)
+        if stream is None:
+            return ledger, ctx
+        ctx.peak_scratch_bytes = stream.pool.peak_bytes
         if workers is not None:
             ctx.peak_scratch_bytes += workers.scratch_peak_bytes
-        ledger = self._elision_priced(ledger, ctx, system)
         return ledger.pipelined(depth), ctx
 
     def _elision_priced(self, ledger: CostLedger, ctx: ExecContext,

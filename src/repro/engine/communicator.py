@@ -14,13 +14,9 @@ the serving redesign it is constructed from one frozen
     result = comm.allreduce("10", 8 << 20, src_offset=src, dst_offset=dst,
                             data_type="int64", reduction_type="sum")
 
-The eight legacy keyword arguments (``config=``, ``functional=``, ...)
-keep working but are deprecated: they route through
-:meth:`SessionConfig.from_kwargs` and emit a :class:`DeprecationWarning`
-naming the migration.  Many concurrent callers should not construct
-sessions at all -- :class:`repro.serving.CollectiveServer` multiplexes
-tenants onto one shared session with admission control and fair-share
-scheduling.
+Many concurrent callers should not construct sessions at all --
+:class:`repro.serving.CollectiveServer` multiplexes tenants onto one
+shared session with admission control and fair-share scheduling.
 
 The eight methods mirror the paper's Figure-10 primitives with
 *consistent keyword-only* ``src_offset``/``dst_offset``/``payloads``
@@ -34,10 +30,9 @@ them with :meth:`CostLedger.merge_concurrent`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from time import perf_counter
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,26 +63,17 @@ from ..errors import (
 )
 from ..hw.arena import ScratchPool
 from ..hw.timing import CostLedger
-from ..reliability import FaultInjector, RELIABLE, ReliabilityPolicy
-from .cache import DEFAULT_MAXSIZE, PlanCache, bind_payloads
+from ..reliability import RELIABLE
+from .cache import PlanCache, bind_payloads
 from .parallel import WorkerPool
 from .request import CommRequest, NormalizedRequest
 from .result import BatchResult, CommFuture, CommResult, reduced_vector
 from .scheduler import price_waves, schedule_waves
-from .session_config import EXECUTION_MODES, SessionConfig
+from .session_config import SessionConfig
 from .stats import EngineStats
 
-#: One PE's saved MRAM intervals: ``(pe_id, offset, bytes)`` records.
-_Snapshot = list[tuple[int, int, np.ndarray]]
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit None.
-_UNSET: Any = object()
-
-#: Names of the deprecated legacy constructor kwargs, in the order the
-#: old signature declared them (used for the migration hint).
-_LEGACY_KWARGS = ("config", "functional", "cache_size", "reliability",
-                  "fault_injector", "backend", "execution",
-                  "stream_tile_bytes")
+#: Saved MRAM spans: ``(pe_ids, offset, (len(pe_ids), nbytes) rows)``.
+_Snapshot = list[tuple[np.ndarray, int, np.ndarray]]
 
 
 class Communicator:
@@ -99,45 +85,11 @@ class Communicator:
             session (optimization config, functional vs. analytic,
             cache bound, reliability, backend, execution mode,
             streaming).  None means the all-defaults config.
-        **legacy: The eight pre-redesign keyword arguments (``config``,
-            ``functional``, ``cache_size``, ``reliability``,
-            ``fault_injector``, ``backend``, ``execution``,
-            ``stream_tile_bytes``) are still accepted, route through
-            :meth:`SessionConfig.from_kwargs`, and emit a
-            :class:`DeprecationWarning`; they cannot be combined with
-            ``session_config``.
     """
 
     def __init__(self, manager: HypercubeManager,
-                 session_config: SessionConfig | None = None, *,
-                 config: OptConfig = _UNSET,
-                 functional: bool = _UNSET,
-                 cache_size: int | None = _UNSET,
-                 reliability: ReliabilityPolicy | None = _UNSET,
-                 fault_injector: FaultInjector | None = _UNSET,
-                 backend: str | None = _UNSET,
-                 execution: str = _UNSET,
-                 stream_tile_bytes: int | None = _UNSET) -> None:
-        passed = dict(zip(_LEGACY_KWARGS,
-                          (config, functional, cache_size, reliability,
-                           fault_injector, backend, execution,
-                           stream_tile_bytes)))
-        legacy = {name: value for name, value in passed.items()
-                  if value is not _UNSET}
-        if legacy:
-            if session_config is not None:
-                raise CollectiveError(
-                    "pass either session_config or the legacy keyword "
-                    f"arguments, not both (got session_config and "
-                    f"{sorted(legacy)})")
-            hint = ", ".join(f"{k}=..." for k in legacy)
-            warnings.warn(
-                f"Communicator({hint}) keyword arguments are deprecated; "
-                f"pass Communicator(manager, SessionConfig({hint})) "
-                "instead (see docs/serving.md)",
-                DeprecationWarning, stacklevel=2)
-            session_config = SessionConfig.from_kwargs(**legacy)
-        elif session_config is None:
+                 session_config: SessionConfig | None = None) -> None:
+        if session_config is None:
             session_config = SessionConfig()
         #: The frozen configuration this session was built from.
         self.session_config = session_config
@@ -503,23 +455,25 @@ class Communicator:
     def _snapshot(self, req: NormalizedRequest) -> _Snapshot:
         """Save the MRAM intervals ``req`` touches, on every member PE.
 
-        Reads go straight through :class:`~repro.hw.memory.PeMemory`,
-        below the fault injector, so snapshots are always exact.
+        One bulk :meth:`~repro.hw.system.DimmSystem.take_rows` per
+        span: the compiled-replay kernels sit below the fault
+        injector, so snapshots are always exact.
         """
         spans = sorted(set(req.footprint().reads + req.footprint().writes))
-        saved: _Snapshot = []
+        pes = np.asarray(member_pes(self.manager, req.dims), dtype=np.intp)
         system = self.manager.system
-        for pe in member_pes(self.manager, req.dims):
-            for offset, nbytes in spans:
-                saved.append((pe, offset, system.memory(pe).read(offset,
-                                                                 nbytes)))
-        return saved
+        return [(pes, offset, system.take_rows(pes, offset, nbytes))
+                for offset, nbytes in spans]
 
     def _restore(self, snapshot: _Snapshot) -> None:
-        """Rewind MRAM to a snapshot (also injector-free, always exact)."""
+        """Rewind MRAM to a snapshot (also injector-free, always exact).
+
+        Bulk :meth:`~repro.hw.system.DimmSystem.put_rows` writes note
+        the arena's write log, so cached elision plans see the rewind.
+        """
         system = self.manager.system
-        for pe, offset, data in snapshot:
-            system.memory(pe).write(offset, data)
+        for pes, offset, rows in snapshot:
+            system.put_rows(pes, offset, rows)
 
     def _snapshot_needed(self) -> bool:
         """Whether a pre-attempt footprint snapshot can ever be used.

@@ -15,9 +15,8 @@ Freezing matters for the serving front-end (``repro.serving``): a
 :class:`~repro.serving.CollectiveServer` admits many tenants onto one
 session, so the session's configuration must be a value that can be
 validated once, shared, compared, and stamped into reports -- not a
-bag of mutable attributes.  The legacy keyword arguments keep working
-(they route through :meth:`SessionConfig.from_kwargs` and emit a
-:class:`DeprecationWarning` naming the migration).
+bag of mutable attributes.  It is the only way to configure a
+:class:`~repro.engine.Communicator`.
 """
 
 from __future__ import annotations
@@ -154,21 +153,6 @@ class SessionConfig:
                     "autotune cannot run under a fault injector or "
                     "reliability policy: tuned schedules replay compiled "
                     "programs, and fault handling is interpreted-only")
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "SessionConfig":
-        """Build a config from the legacy ``Communicator`` kwargs.
-
-        Rejects unknown names with the same error a mistyped keyword
-        argument used to raise, so legacy call sites migrate loudly.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise CollectiveError(
-                f"unknown session option(s) {unknown}; "
-                f"known: {sorted(known)}")
-        return cls(**kwargs)
 
     def evolve(self, **changes: Any) -> "SessionConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -443,8 +443,13 @@ class MemoryArena:
         """Zero-copy view of one PE's whole bank (touches the PE).
 
         Re-derived from the current backing array on every call, so it
-        is always safe to use even after the arena has grown.
+        is always safe to use even after the arena has grown.  A
+        touched row stays inside the backing array for the arena's
+        lifetime (growth only widens it), so only a first access pays
+        :meth:`touch`.
         """
+        if 0 <= pe_id < self.max_rows and self._touched[pe_id]:
+            return self._data[pe_id - self._base]
         ids = self.touch((pe_id,))
         return self._data[int(ids[0]) - self._base]
 

@@ -16,8 +16,9 @@ import pytest
 
 from .helpers import fill_group_inputs, groups_of, make_manager
 
-from repro import (ABLATION_LADDER, BASELINE, Communicator, FULL,
-                   FaultInjector, SessionConfig)
+from repro import (ABLATION_LADDER, BASELINE, CommRequest, Communicator,
+                   FULL, FaultInjector, SessionConfig)
+from repro.core.collectives import program as program_mod
 from repro.core.collectives.program import (
     CommProgram,
     FanoutScratchOp,
@@ -27,9 +28,11 @@ from repro.core.collectives.program import (
     StepOp,
     compile_plan,
 )
+from repro.core.groups import member_pes
 from repro.dtypes import FLOAT32, INT8, INT32, SUM
 from repro.engine.cache import DEFAULT_MAXSIZE, PlanCache
 from repro.errors import CollectiveError
+from repro.hw.arena import ScratchPool
 
 PRIMITIVES = ("alltoall", "allgather", "reduce_scatter", "allreduce",
               "gather", "scatter", "reduce", "broadcast")
@@ -324,6 +327,153 @@ class TestExecutionPolicy:
         assert snap["program_replays"] == 3
         assert "replay_seconds" in snap and "compile_seconds" in snap
         assert "compiled programs:" in stats.report()
+
+
+ELIDE_MODES = ("off", "on", "sparse")
+#: A tile budget no test payload reaches: every banded op runs one band.
+WHOLE_TILE = 1 << 30
+
+
+def _band_run(primitive, backend, elide, tile):
+    """Two identical compiled calls; returns (comm, result, memory, call).
+
+    ``elide`` is ``"off"``, ``"on"`` (dense random payload) or
+    ``"sparse"`` (every other per-destination block zero on every PE,
+    so whole output rows elide).  ``memory`` dumps every PE's bank up
+    to the allocation cursor after the last call; ``call`` holds the
+    keyword arguments of the calls.
+    """
+    manager = make_manager(SHAPE)
+    system = manager.system
+    comm = Communicator(manager, SessionConfig(
+        backend=backend, execution="compiled", stream_tile_bytes=tile,
+        elide_transfers=elide != "off"))
+    groups = groups_of(manager, BITMAP)
+    n = groups[0].size
+    rng = np.random.default_rng(11)
+
+    def vector(elems):
+        values = rng.integers(1, 100, elems).astype(np.int32)
+        if elide == "sparse":
+            values.reshape(-1, CHUNK)[::2] = 0
+        return values
+
+    item = INT32.itemsize
+    src = system.alloc(n * CHUNK * item)
+    dst = system.alloc(n * CHUNK * item)
+    if primitive in ("scatter", "broadcast"):
+        elems = n * CHUNK if primitive == "scatter" else CHUNK
+        payloads = {g.instance: vector(elems) for g in groups}
+        call = dict(dst_offset=dst, payloads=payloads)
+        total = CHUNK * item
+    else:
+        inputs = {pe: vector(n * CHUNK) for g in groups for pe in g.pe_ids}
+        call = dict(src_offset=src)
+        if primitive not in ("gather", "reduce"):
+            call["dst_offset"] = dst
+        if primitive in ("reduce_scatter", "allreduce", "reduce"):
+            call["reduction_type"] = SUM
+        total = (CHUNK if primitive == "allgather" else n * CHUNK) * item
+    pes = np.arange(system.num_pes)
+    for _ in range(2):
+        if primitive not in ("scatter", "broadcast"):
+            for pe, values in inputs.items():
+                system.write_elements(pe, src, values, INT32)
+        # Stale destination bytes: every elided zero row must be filled.
+        system.put_rows(pes, dst, np.full((pes.size, n * CHUNK * item),
+                                          0xAB, np.uint8))
+        result = getattr(comm, primitive)(BITMAP, total, data_type=INT32,
+                                          **call)
+    memory = system.take_rows(pes, 0, system.alloc(8))
+    return comm, result, memory, call
+
+
+class TestOneBandLoop:
+    """Untiled replay is the single-band case of the streamed loop."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_floor(self, monkeypatch):
+        # Let the 32-PE machine's small payloads reach the scanner.
+        monkeypatch.setattr(program_mod, "ELIDE_MIN_SOURCE_BYTES", 0)
+
+    @pytest.mark.parametrize("elide", ELIDE_MODES)
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_whole_tile_matches_untiled(self, primitive, backend, elide):
+        _, untiled, mem_u, _ = _band_run(primitive, backend, elide, None)
+        comm, whole, mem_w, _ = _band_run(primitive, backend, elide,
+                                          WHOLE_TILE)
+        np.testing.assert_array_equal(mem_u, mem_w)
+        assert (untiled.host_outputs is None) == (whole.host_outputs is None)
+        for inst, out in (untiled.host_outputs or {}).items():
+            np.testing.assert_array_equal(out, whole.host_outputs[inst])
+        # Streaming only adds the tile-pipeline credit on top.
+        depth = _program_of(comm).pipeline_depth(WHOLE_TILE)
+        assert whole.ledger.breakdown() == \
+            untiled.ledger.pipelined(depth).breakdown()
+        assert untiled.simd == whole.simd
+        assert untiled.wram_tiles == whole.wram_tiles
+        assert (untiled.chunks_scanned, untiled.chunks_elided,
+                untiled.elided_bytes) == (whole.chunks_scanned,
+                                          whole.chunks_elided,
+                                          whole.elided_bytes)
+        assert whole.execution == "streamed" and whole.tiles > 0
+        if elide == "sparse" and primitive == "alltoall":
+            assert untiled.chunks_elided > 0
+
+    @pytest.mark.parametrize("elide", ELIDE_MODES)
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("primitive", PRIMITIVES)
+    def test_untiled_replay_keeps_no_scratch(self, primitive, backend,
+                                             elide):
+        comm, result, _, call = _band_run(primitive, backend, elide, None)
+        assert result.execution == "compiled"
+        assert result.tiles == 0 and result.peak_scratch_bytes == 0
+        assert comm._scratch is None
+        # Even a pool handed to an untiled replay is never touched.
+        pool = ScratchPool()
+        payloads = None
+        if primitive in ("scatter", "broadcast"):
+            payloads = {inst: values.view(np.uint8) for inst, values
+                        in call["payloads"].items()}
+        _, ctx = _program_of(comm).replay(
+            comm.manager.system, payloads, pool=pool,
+            elide=elide != "off")
+        assert pool.capacity_bytes == 0 and pool.peak_bytes == 0
+        assert ctx.tiles == 0 and ctx.peak_scratch_bytes == 0
+
+
+class TestSnapshotRoundTrip:
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_degraded_cube_round_trip(self, backend):
+        manager = make_manager(SHAPE).without_pes([3, 10])
+        comm = Communicator(manager, SessionConfig(backend=backend))
+        system = manager.system
+        pes = np.asarray(member_pes(manager, BITMAP))
+        assert len(set(np.diff(pes).tolist())) > 1  # no strided run
+        n = groups_of(manager, BITMAP)[0].size
+        total = n * CHUNK * INT32.itemsize
+        src = system.alloc(total)
+        dst = system.alloc(total)
+        end = system.alloc(8)
+        rng = np.random.default_rng(3)
+        for pe in range(system.num_pes):
+            system.memory(pe).write(
+                0, rng.integers(0, 256, end, dtype=np.uint8))
+        before = system.take_rows(np.arange(system.num_pes), 0, end)
+        req = CommRequest("alltoall", BITMAP, total, src_offset=src,
+                          dst_offset=dst).normalize(
+                              manager, comm.config, backend=comm.backend)
+        snapshot = comm._snapshot(req)
+        for pe in pes:
+            system.memory(int(pe)).write(
+                src, rng.integers(0, 256, dst + total - src,
+                                  dtype=np.uint8))
+        assert not np.array_equal(
+            system.take_rows(np.arange(system.num_pes), 0, end), before)
+        comm._restore(snapshot)
+        np.testing.assert_array_equal(
+            system.take_rows(np.arange(system.num_pes), 0, end), before)
 
 
 class TestPlanCacheEviction:

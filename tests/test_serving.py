@@ -84,24 +84,6 @@ class TestSessionConfig:
         assert comm.execution == "auto"
         assert comm.session_config == SessionConfig()
 
-    def test_legacy_kwargs_warn_and_route(self):
-        manager = make_manager((8, 4))
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            comm = Communicator(manager, functional=False,
-                                execution="interpreted")
-        assert comm.session_config == SessionConfig(
-            functional=False, execution="interpreted")
-        assert comm.functional is False
-
-    def test_legacy_and_session_config_conflict(self):
-        manager = make_manager((8, 4))
-        with pytest.raises(CollectiveError, match="not both"):
-            Communicator(manager, SessionConfig(), functional=False)
-
-    def test_from_kwargs_rejects_unknown(self):
-        with pytest.raises(CollectiveError, match="unknown"):
-            SessionConfig.from_kwargs(funktional=False)
-
     def test_frozen(self):
         config = SessionConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):

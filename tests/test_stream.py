@@ -1,6 +1,6 @@
 """Streamed tiled replay: parity, scratch pool, pipeline pricing.
 
-Streaming (``Communicator(stream_tile_bytes=...)``) replays compiled
+Streaming (``SessionConfig(stream_tile_bytes=...)``) replays compiled
 programs band-by-band through one session-owned
 :class:`~repro.hw.arena.ScratchPool` instead of materializing whole
 payloads.  The acceptance bar mirrors compiled replay's: bit-identical
